@@ -510,19 +510,20 @@ func (s *Server) serveTenantOp(w http.ResponseWriter, r *http.Request, rest stri
 	}
 }
 
-// finish writes a mutating handler's success response through the
+// finish writes a mutating handler's encoded success response through the
 // dlzd/handler/post failpoint: an injected error or panic there models the
 // classic applied-but-unacknowledged fault — the operations are committed
 // (their counters are defer-committed by the handler) but the client sees a
 // 500 instead of the success body.
-func (s *Server) finish(w http.ResponseWriter, v any) {
+func (s *Server) finish(w http.ResponseWriter, body []byte) {
 	if fail.Enabled {
 		if err := fail.Inject(fail.SiteDlzdHandlerPost); err != nil {
 			writeError(w, http.StatusInternalServerError, "injected fault before response")
 			return
 		}
 	}
-	writeJSON(w, v)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body) // a failed write means the connection is gone
 }
 
 // writeBusy answers a request whose session lease could not be locked within
@@ -534,17 +535,15 @@ func writeBusy(w http.ResponseWriter, t *tenant) {
 	writeError(w, http.StatusServiceUnavailable, "session busy")
 }
 
-// decode parses a JSON body into v, writing a 400/405 on failure and
-// reporting whether the handler should continue.
+// decode parses a JSON body into v with the reference decoder, writing a
+// 400/405 on failure and reporting whether the handler should continue. The
+// batch endpoints read their bodies through wirecodec.go instead.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !requirePost(w, r) {
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeJSON(r.Body, v); err != nil {
+		writeBadBody(w, err)
 		return false
 	}
 	return true
@@ -565,8 +564,16 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Server) handleEnqueueBatch(w http.ResponseWriter, r *http.Request, t *tenant, oc *opCtx) {
-	var req EnqueueBatchRequest
-	if !decode(w, r, &req) {
+	if !requirePost(w, r) {
+		return
+	}
+	// Deferred first, so the buffer returns to the pool only after the
+	// journal defer below has encoded its record.
+	wb := getWireBuf()
+	defer putWireBuf(wb)
+	req, err := wb.enqueueRequest(wb.read(r.Body, r.ContentLength))
+	if err != nil {
+		writeBadBody(w, err)
 		return
 	}
 	if req.Session == "" {
@@ -605,7 +612,7 @@ func (s *Server) handleEnqueueBatch(w http.ResponseWriter, r *http.Request, t *t
 		}
 		logged = true
 		return s.journal(&wal.Record{Type: wal.RecEnqueue, Tenant: t.name, Session: req.Session,
-			Items: wireToWalItems(req.Items, applied), Metered: metered})
+			Items: wb.walItems(req.Items[:applied]), Metered: metered})
 	}
 	defer func() {
 		t.opsEnqueued.Add(uint64(applied))
@@ -641,12 +648,19 @@ func (s *Server) handleEnqueueBatch(w http.ResponseWriter, r *http.Request, t *t
 			return
 		}
 	}
-	s.finish(w, EnqueueBatchResponse{Enqueued: applied, Buffered: l.mqh.Buffered()})
+	wb.out = EnqueueBatchResponse{Enqueued: applied, Buffered: l.mqh.Buffered()}.appendJSON(wb.out[:0])
+	s.finish(w, wb.out)
 }
 
 func (s *Server) handleDeleteMinUpTo(w http.ResponseWriter, r *http.Request, t *tenant, oc *opCtx) {
-	var req DeleteMinRequest
-	if !decode(w, r, &req) {
+	if !requirePost(w, r) {
+		return
+	}
+	wb := getWireBuf()
+	defer putWireBuf(wb) // after the journal defer, as in handleEnqueueBatch
+	req, err := wb.deleteMinRequest(wb.read(r.Body, r.ContentLength))
+	if err != nil {
+		writeBadBody(w, err)
 		return
 	}
 	if req.Session == "" {
@@ -670,7 +684,10 @@ func (s *Server) handleDeleteMinUpTo(w http.ResponseWriter, r *http.Request, t *
 	// Defer-committed like the enqueue count: elements drained out of the
 	// structure are counted even when a later fault turns the response into
 	// a 500 (at-most-once delivery — the server ledger stays exact).
-	items := make([]WireItem, 0, req.Max)
+	if cap(wb.items) < req.Max {
+		wb.items = make([]WireItem, 0, req.Max)
+	}
+	items := wb.items[:0]
 	metered := uint64(req.Max)
 	logged := false
 	journal := func() error {
@@ -678,12 +695,8 @@ func (s *Server) handleDeleteMinUpTo(w http.ResponseWriter, r *http.Request, t *
 			return nil
 		}
 		logged = true
-		out := make([]wal.Item, len(items))
-		for i, it := range items {
-			out[i] = wal.Item{Priority: it.Priority, Value: it.Value}
-		}
 		return s.journal(&wal.Record{Type: wal.RecDeleteMin, Tenant: t.name, Session: req.Session,
-			Items: out, Metered: metered})
+			Items: wb.walItems(items), Metered: metered})
 	}
 	defer func() {
 		t.opsDequeued.Add(uint64(len(items)))
@@ -719,12 +732,19 @@ func (s *Server) handleDeleteMinUpTo(w http.ResponseWriter, r *http.Request, t *
 			return
 		}
 	}
-	s.finish(w, DeleteMinResponse{Items: items, Truncated: truncated})
+	wb.out = DeleteMinResponse{Items: items, Truncated: truncated}.appendJSON(wb.out[:0])
+	s.finish(w, wb.out)
 }
 
 func (s *Server) handleCounterAdd(w http.ResponseWriter, r *http.Request, t *tenant, oc *opCtx) {
-	var req CounterAddRequest
-	if !decode(w, r, &req) {
+	if !requirePost(w, r) {
+		return
+	}
+	wb := getWireBuf()
+	defer putWireBuf(wb)
+	req, err := wb.counterAddRequest(wb.read(r.Body, r.ContentLength))
+	if err != nil {
+		writeBadBody(w, err)
 		return
 	}
 	if req.Session == "" {
@@ -784,11 +804,12 @@ func (s *Server) handleCounterAdd(w http.ResponseWriter, r *http.Request, t *ten
 			return
 		}
 	}
-	s.finish(w, CounterAddResponse{
+	wb.out = CounterAddResponse{
 		Added:          applied,
 		BufferedOps:    l.ch.Buffered(),
 		BufferedWeight: l.ch.BufferedWeight(),
-	})
+	}.appendJSON(wb.out[:0])
+	s.finish(w, wb.out)
 }
 
 func (s *Server) handleCounterRead(w http.ResponseWriter, r *http.Request, t *tenant, oc *opCtx) {

@@ -169,15 +169,6 @@ func (s *Server) journal(rec *wal.Record) error {
 	return nil
 }
 
-// wireToWalItems converts an applied prefix of wire items to journal items.
-func wireToWalItems(items []WireItem, n int) []wal.Item {
-	out := make([]wal.Item, n)
-	for i := 0; i < n; i++ {
-		out[i] = wal.Item{Priority: items[i].Priority, Value: items[i].Value}
-	}
-	return out
-}
-
 // Snapshot captures every tenant at one consistent cut and persists it,
 // truncating journal segments the snapshot covers. Safe to call any time;
 // a no-op without durability. The janitor calls it on the SnapshotBytes

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -34,6 +35,25 @@ var (
 // final SIGTERM restart must replay zero records (the shutdown snapshot
 // covered everything), and two offline replays of the surviving journal must
 // be identical.
+// lockedBuffer collects a child process's output; it may be read while the
+// process is still running and its output is still being copied in.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 func TestKillRestartSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess soak skipped in -short")
@@ -53,9 +73,9 @@ func TestKillRestartSoak(t *testing.T) {
 	ln.Close()
 	walDir := t.TempDir()
 
-	var daemonLogs []*bytes.Buffer
+	var daemonLogs []*lockedBuffer
 	startDaemon := func() *exec.Cmd {
-		log := &bytes.Buffer{}
+		log := &lockedBuffer{}
 		daemonLogs = append(daemonLogs, log)
 		cmd := exec.Command(bin+"/dlzd",
 			"-addr", addr,

@@ -1,10 +1,11 @@
 package dlzd
 
 // Wire types of the dlzd HTTP/JSON protocol. Priorities and values are full
-// uint64s: Go's JSON encoder emits them as exact integer literals and the
-// decoder parses literals directly into uint64 fields, so priorities beyond
-// 2^53 (including the 2^48 top-word truncation boundary the differential
-// tests straddle) survive the wire round trip at full resolution.
+// uint64s: both the batch codec (wirecodec.go) and encoding/json emit them
+// as exact integer literals and parse literals directly into uint64 fields,
+// so priorities beyond 2^53 (including the 2^48 top-word truncation boundary
+// the differential tests straddle) survive the wire round trip at full
+// resolution.
 
 // WireItem is one (priority, value) element as it crosses the wire.
 type WireItem struct {
